@@ -1,12 +1,5 @@
-"""Repo-level pytest configuration.
-
-CI runs the tier-1 suite once per event scheduler (heap / calendar /
-ladder) to prove the pluggable queues are observationally equivalent.
-The matrix leg communicates its choice via ``REPRO_SCHEDULER``; applying
-it here, before any test module builds a :class:`repro.sim.Simulator`,
-means every simulator in the run uses that queue without the tests
-having to know about the matrix.
-"""
+"""Repo-level pytest configuration: make ``src`` importable without an
+install."""
 
 import os
 import sys
@@ -14,9 +7,3 @@ import sys
 _SRC = os.path.join(os.path.dirname(__file__), "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
-
-_scheduler = os.environ.get("REPRO_SCHEDULER")
-if _scheduler:
-    from repro.sim import set_default_scheduler
-
-    set_default_scheduler(_scheduler)

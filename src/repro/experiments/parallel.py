@@ -31,6 +31,7 @@ identical to a shared one.
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..obs import runtime
@@ -54,6 +55,28 @@ def effective_jobs(jobs: Optional[int], n_cells: int) -> int:
         if oracle_forces_serial(observer, "--jobs"):
             return 1
     return min(jobs, n_cells)
+
+
+def _init_worker(partitions: int, backend: str) -> None:
+    """Pool initializer: re-apply the parent's ``--parallel-sim`` setting.
+
+    The partitioning is process-global state (see :mod:`repro.sim.pdes`),
+    so worker processes receive it by value — a sweep fanned out over
+    ``--jobs`` then builds the same simulators the serial run would.
+    """
+    from ..sim.pdes import set_sim_partitions
+
+    set_sim_partitions(partitions, backend)
+
+
+def _pool(n_workers: int) -> ProcessPoolExecutor:
+    from ..sim.pdes import sim_partitions
+
+    return ProcessPoolExecutor(
+        max_workers=n_workers,
+        initializer=_init_worker,
+        initargs=sim_partitions(),
+    )
 
 
 def _invoke(payload):
@@ -80,31 +103,27 @@ def fanout(
 ) -> List[Any]:
     """Run ``worker(**cell)`` for every cell; results in cell order.
 
-    With ``jobs`` > 1 the cells are distributed over a
-    ``multiprocessing`` pool; ordering of the returned list is the cell
-    order either way, so downstream rendering is deterministic.  When an
-    observer is active its collectors are rebuilt per worker cell and
-    the snapshots merged back in cell order (see the module docstring).
+    With ``jobs`` > 1 the cells are distributed over a process pool;
+    the returned list is in cell order either way, so downstream
+    rendering is deterministic.  When an observer is active its
+    collectors are rebuilt per worker cell and the snapshots merged back
+    in cell order (see the module docstring).
     """
     cells = list(cells)
     n_workers = effective_jobs(jobs, len(cells))
     if n_workers <= 1:
         return [worker(**cell) for cell in cells]
-    from ..parallel import map_parallel
-
     observer = runtime.current_observer()
     if observer is None:
-        return map_parallel(
-            _invoke, [(worker, cell) for cell in cells], n_workers=n_workers
-        )
+        with _pool(n_workers) as pool:
+            return list(pool.map(_invoke, [(worker, cell) for cell in cells]))
     from .common import ObserverSpec
 
     spec = ObserverSpec.from_observer(observer)
-    pairs = map_parallel(
-        _invoke_observed,
-        [(worker, cell, spec) for cell in cells],
-        n_workers=n_workers,
-    )
+    with _pool(n_workers) as pool:
+        pairs = list(
+            pool.map(_invoke_observed, [(worker, cell, spec) for cell in cells])
+        )
     results = []
     for result, snap in pairs:
         observer.merge_snapshot(snap)

@@ -17,7 +17,7 @@ from typing import Callable, List, Optional, Sequence
 from scipy import stats as _scipy_stats
 
 from ..metrics import MeanCI
-from ..parallel import run_grid
+from .parallel import fanout
 
 __all__ = ["Replication", "replicate"]
 
@@ -44,20 +44,15 @@ def replicate(
     """Run ``metric(seed=s, **fixed_kwargs)`` for each seed; CI over seeds.
 
     ``metric`` must be a module-level callable returning a float (it is
-    shipped to worker processes when ``n_workers > 1``).
+    shipped to worker processes when ``n_workers > 1``).  The values come
+    back in seed order either way.
     """
     if len(seeds) < 2:
         raise ValueError("need at least 2 seeds for a confidence interval")
     if len(set(seeds)) != len(seeds):
         raise ValueError("seeds must be distinct")
-    grid = {"seed": list(seeds)}
-    if fixed_kwargs:
-        # Fixed parameters become single-value grid axes.
-        for key, value in fixed_kwargs.items():
-            grid[key] = [value]
-    results = run_grid(metric, grid, n_workers=n_workers)
-    # run_grid expands seed-major (seed is the first key): order preserved.
-    values = tuple(float(r.value) for r in results)
+    cells = [{"seed": seed, **fixed_kwargs} for seed in seeds]
+    values = tuple(float(v) for v in fanout(metric, cells, jobs=n_workers))
     n = len(values)
     mean = sum(values) / n
     var = sum((v - mean) ** 2 for v in values) / (n - 1)

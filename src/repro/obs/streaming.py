@@ -232,6 +232,16 @@ class P2Quantile:
         return f"<P2Quantile p={self.p} n={self._count} est={self.value():.6g}>"
 
 
+def _lerp(lo: float, hi: float, frac: float) -> float:
+    """``lo + frac * (hi - lo)``, clamped into ``[lo, hi]``.
+
+    With operands of very different magnitude ``hi - lo`` rounds, and the
+    unclamped value can land outside the bracket (``-1.18e-38 - -1.0`` is
+    ``1.0``, so a quantile between those centroids would read ``0.0``).
+    """
+    return min(hi, max(lo, lo + frac * (hi - lo)))
+
+
 class TDigest:
     """A small merging t-digest (no RNG, deterministic, mergeable).
 
@@ -354,7 +364,7 @@ class TDigest:
         if target <= weights[0] / 2.0:
             span = weights[0] / 2.0
             frac = target / span if span > 0 else 1.0
-            return self._min + frac * (means[0] - self._min)
+            return _lerp(self._min, means[0], frac)
         cum = 0.0
         for i in range(len(means) - 1):
             mid_i = cum + weights[i] / 2.0
@@ -362,12 +372,12 @@ class TDigest:
             if target <= mid_j:
                 span = mid_j - mid_i
                 frac = (target - mid_i) / span if span > 0 else 0.0
-                return means[i] + frac * (means[i + 1] - means[i])
+                return _lerp(means[i], means[i + 1], frac)
             cum += weights[i]
         mid_last = cum + weights[-1] / 2.0
         span = self._count - mid_last
         frac = (target - mid_last) / span if span > 0 else 1.0
-        return means[-1] + min(1.0, frac) * (self._max - means[-1])
+        return _lerp(means[-1], self._max, min(1.0, frac))
 
     def centroid_count(self) -> int:
         self._compress()

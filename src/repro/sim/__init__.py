@@ -23,16 +23,7 @@ from .pdes import (
     using_partitions,
 )
 from .probes import EventTracer, sample
-from .queues import (
-    SCHEDULERS,
-    CalendarQueue,
-    HeapQueue,
-    LadderQueue,
-    default_scheduler,
-    make_queue,
-    set_default_scheduler,
-    using_scheduler,
-)
+from .queues import HeapQueue
 from .resources import ProcessorSharing, Request, Resource, Store
 from .rng import RandomStreams
 from .sync import Lock, RWLock, Semaphore
@@ -47,13 +38,6 @@ __all__ = [
     "Interrupt",
     "StopSimulation",
     "HeapQueue",
-    "CalendarQueue",
-    "LadderQueue",
-    "SCHEDULERS",
-    "make_queue",
-    "default_scheduler",
-    "set_default_scheduler",
-    "using_scheduler",
     "ConservativeCoordinator",
     "sim_partitions",
     "set_sim_partitions",

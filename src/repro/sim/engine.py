@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, Iterable, Optional
 
-from .queues import make_queue
+from .queues import HeapQueue
 
 __all__ = [
     "Simulator",
@@ -399,11 +399,8 @@ def _stop_simulation(event: Event) -> None:
 class Simulator:
     """The event loop: a priority queue of ``(time, prio, seq, event)``.
 
-    ``queue`` selects the pending-event set implementation (see
-    :mod:`repro.sim.queues`); the default binary heap is right for most
-    models, the calendar/ladder queues win on very large event
-    populations.  All of them pop in identical ``(time, priority,
-    sequence)`` order, so the choice never changes simulation results.
+    The pending events live in a :class:`~repro.sim.queues.HeapQueue`
+    and pop in ``(time, priority, sequence)`` order.
     """
 
     __slots__ = (
@@ -411,15 +408,12 @@ class Simulator:
         "step_hooks", "_anon",
     )
 
-    def __init__(self, queue=None):
+    def __init__(self):
         self._now: float = 0.0
-        # No explicit queue: build the process-global default (normally
-        # the heap; the --scheduler flag rebinds it, see repro.sim.queues).
-        self._queue = queue if queue is not None else make_queue()
+        self._queue = HeapQueue()
         #: Bound push, looked up once: scheduling is the hottest call in
         #: the engine and ``HeapQueue.push`` is a partial over the C
-        #: heappush, so this keeps the default's dispatch cost at the
-        #: pre-refactor inlined-heap level.
+        #: heappush, so this keeps dispatch at the cost of an inlined heap.
         self._qpush = self._queue.push
         self._seq: int = 0
         self._ticks: int = 0
@@ -529,8 +523,7 @@ class Simulator:
     def peek(self) -> float:
         """Time of the next scheduled live event, or ``inf`` if none.
 
-        Cancelled-but-unpurged entries at the queue head are skipped
-        uniformly across all queue implementations.
+        Cancelled-but-unpurged entries at the queue head are skipped.
         """
         return self._queue.peek_time()
 
@@ -560,11 +553,9 @@ class Simulator:
         The window primitive for conservative parallel simulation (see
         :mod:`repro.sim.pdes`): a shard repeatedly runs the window its
         coordinator proved safe.  Events at or after ``horizon`` stay
-        queued — the one overshooting pop is pushed straight back, which
-        every queue implementation accepts because the entry's key equals
-        the last popped key (never earlier).  Unlike :meth:`run`, an
-        exhausted queue just ends the window: more events may arrive by
-        cross-shard injection before the next one.
+        queued — the one overshooting pop is pushed straight back.  Unlike
+        :meth:`run`, an exhausted queue just ends the window: more events
+        may arrive by cross-shard injection before the next one.
         """
         queue = self._queue
         hooks = self.step_hooks

@@ -1,14 +1,13 @@
-"""Pluggable pending-event sets for the simulation engine.
+"""The simulation engine's pending-event set.
 
 The engine orders events by ``(time, priority, sequence)`` tuples whose
-sequence component is globally unique, so *any* correct priority queue
-yields a bit-for-bit identical pop order.  That makes the scheduler a
-pure performance knob: :class:`HeapQueue` (the default binary heap),
-:class:`CalendarQueue` (R. Brown 1988) and :class:`LadderQueue`
-(Tang et al. 2005) are interchangeable via ``Simulator(queue=...)`` or
-the ``--scheduler`` CLI flag.
+sequence component is globally unique, so the pop order is total and
+deterministic.  :class:`HeapQueue` is the one implementation: the peak
+pending sets of the paper's workloads stay below ~40k entries, where a
+binary heap measured as fast end to end as bucketed queues (see the
+"Pending-event set" note in docs/architecture.md).
 
-Interface (duck-typed, no ABC on the hot path):
+Interface:
 
 - ``push(entry)`` — insert a ``(time, prio, seq, event)`` tuple.
 - ``pop()`` — remove and return the smallest entry; ``IndexError`` when
@@ -16,40 +15,27 @@ Interface (duck-typed, no ABC on the hot path):
 - ``peek_time()`` — time of the next *live* entry, ``inf`` when empty.
   May purge cancelled entries but never reorders live ones.
 - ``cancel(entry)`` — lazily invalidate a previously pushed entry; the
-  structure discards it whenever it next surfaces.
+  heap discards it whenever it next surfaces.
 - ``len(q)`` — number of live (non-cancelled) entries.
-
-Correctness contract shared by all implementations: pushes never carry a
-time earlier than the last popped entry's time (the simulator only
-schedules at ``now`` or later), so the bucketed queues may discard drain
-position state for windows they have passed.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from functools import partial
 from heapq import heappop as _heappop, heappush as _heappush
-from math import inf as _INF, isfinite as _isfinite
+from math import inf as _INF
 
-__all__ = [
-    "HeapQueue",
-    "CalendarQueue",
-    "LadderQueue",
-    "SCHEDULERS",
-    "make_queue",
-    "default_scheduler",
-    "set_default_scheduler",
-    "using_scheduler",
-]
+__all__ = ["HeapQueue"]
 
 
 class HeapQueue:
-    """Binary-heap pending-event set (the reference scheduler).
+    """Binary-heap pending-event set.
 
     ``push``/``pop`` are ``functools.partial`` bindings of the C heapq
     functions onto the backing list, so the common no-cancellation case
-    pays zero interpreter overhead over the pre-refactor inlined heap.
+    pays no interpreter overhead over an inlined heap.  The bindings
+    read this module's ``_heappush``/``_heappop`` at construction time,
+    so a profiler can rebind those names to attribute heap work here.
     ``cancel`` swaps ``pop`` to a skipping variant; once the cancelled
     set drains, the fast binding is restored.
     """
@@ -89,506 +75,3 @@ class HeapQueue:
 
     def __repr__(self) -> str:
         return f"<HeapQueue n={len(self)}>"
-
-
-class _BucketedQueue:
-    """Shared cancel/peek machinery for the bucketed schedulers.
-
-    Subclasses implement flat ``push``/``pop`` over finite times (both
-    run once per simulated event, so neither goes through a
-    template-method hook); non-finite times (``run(until=inf)`` style
-    sentinels) live in a small sorted side list so bucket-index
-    arithmetic never sees them.
-    """
-
-    def __init__(self):
-        self._cancelled: set = set()
-        self._live = 0
-        self._far: list = []  # entries with non-finite time, sorted
-
-    def cancel(self, entry) -> None:
-        self._cancelled.add(entry)
-        self._live -= 1
-
-    def peek_time(self) -> float:
-        # Pop the next live entry and push it straight back.  This is
-        # only sound for structures that accept a push *behind* their
-        # drain position (the ladder routes such entries to the sorted
-        # bottom); the calendar overrides this with a cursor-neutral
-        # scan because committing its cursor during a peek would strand
-        # later pushes at earlier times.
-        try:
-            entry = self.pop()
-        except IndexError:
-            return _INF
-        self.push(entry)
-        return entry[0]
-
-    def _purge_head(self, bucket) -> None:
-        """Drop cancelled entries from the front of a sorted bucket."""
-        cancelled = self._cancelled
-        while bucket and bucket[0] in cancelled:
-            cancelled.discard(bucket.pop(0))
-            self._nitems -= 1
-
-    def __len__(self) -> int:
-        return self._live
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} n={self._live}>"
-
-
-class CalendarQueue(_BucketedQueue):
-    """Calendar queue: a circular array of day buckets (R. Brown 1988).
-
-    An entry at time ``t`` lives in bucket ``int(t / width) % nbuckets``;
-    each bucket is kept sorted, so with entries spread ~1 per bucket both
-    operations are O(1) amortized.  ``pop`` scans day windows forward
-    from the last drain position (never returning an entry scheduled for
-    a later "year" than the window under the cursor) and falls back to a
-    direct min-scan after a fruitless full year, so sparse queues stay
-    correct.  The bucket count doubles/halves with occupancy and the
-    width is re-estimated from the live span on each resize — the
-    classic rule of thumb of ~3 mean inter-event gaps per day.
-    """
-
-    def __init__(self, nbuckets: int = 8, width: float = 1.0):
-        super().__init__()
-        self._nbuckets = nbuckets
-        self._width = width
-        self._buckets: list = [[] for _ in range(nbuckets)]
-        self._nitems = 0  # bucketed entries, including cancelled-in-place
-        self._cur_win = 0  # integer day-window index of the drain position
-        self._last_time = 0.0  # time of the last popped entry
-        self._max_seen = 0.0
-
-    # push/pop are flat reimplementations rather than the shared
-    # _BucketedQueue hooks: both run once per simulated event, and the
-    # extra frames of the template-method split measurably blunt the
-    # structure's advantage over the C heap.
-
-    def push(self, entry) -> None:
-        self._live += 1
-        t = entry[0]
-        if t == _INF:
-            insort(self._far, entry)
-            return
-        insort(self._buckets[int(t / self._width) % self._nbuckets], entry)
-        self._nitems += 1
-        if t > self._max_seen:
-            self._max_seen = t
-        win = int(t / self._width)
-        if win < self._cur_win:
-            # Push behind the drain position: the PDES window runtime
-            # (sim.run_window) re-queues an overshooting pop and then
-            # injects cross-shard messages at earlier instants, which
-            # the simulator contract allows (both are >= now).  Rewind
-            # the cursor so the forward scan cannot strand the entry —
-            # the ladder gets this for free via its sorted bottom.
-            self._cur_win = win
-        if self._nitems > self._nbuckets << 1:
-            # Quadruple: halves the total redistribution work of a
-            # doubling schedule, at the cost of a sparser bucket array.
-            self._resize(self._nbuckets << 2)
-
-    def pop(self):
-        cancelled = self._cancelled
-        while True:
-            if self._nitems:
-                nb = self._nbuckets
-                width = self._width
-                buckets = self._buckets
-                win = self._cur_win
-                entry = None
-                for _ in range(nb):
-                    b = buckets[win % nb]
-                    # Due-check with the *placement* arithmetic
-                    # (int(t / width)), not a separately rounded boundary
-                    # product: an entry is due in the window under the
-                    # cursor iff it was filed there for this year.
-                    # Mixing the two roundings can strand a boundary
-                    # entry behind the cursor and break the pop order.
-                    if b and int(b[0][0] / width) <= win:
-                        entry = b.pop(0)
-                        break
-                    win += 1
-                else:
-                    # A whole fruitless year: jump to the global min.
-                    best = None
-                    for b in buckets:
-                        if b and (best is None or b[0] < best[0]):
-                            best = b
-                    entry = best.pop(0)
-                self._nitems -= 1
-                if (
-                    self._nitems < self._nbuckets >> 3
-                    and self._nbuckets > 8
-                ):
-                    self._resize(self._nbuckets >> 1)
-            elif self._far:
-                entry = self._far.pop(0)
-                if cancelled and entry in cancelled:
-                    cancelled.discard(entry)
-                    continue
-                self._live -= 1
-                return entry  # non-finite: no cursor commit
-            else:
-                raise IndexError("pop from empty CalendarQueue")
-            if cancelled and entry in cancelled:
-                # A discarded cancelled entry's time no longer
-                # lower-bounds future pushes (that is the point of
-                # cancelling it), so it must not advance the cursor:
-                # that would strand later, earlier-timed pushes behind
-                # the drain position.
-                cancelled.discard(entry)
-                continue
-            self._live -= 1
-            self._last_time = t = entry[0]
-            # The cursor tracks the popped entry's own window, so every
-            # later push (time >= now) files at or ahead of it.
-            self._cur_win = int(t / self._width)
-            return entry
-
-    def peek_time(self) -> float:
-        # Cursor-neutral: scans with a local window index and never
-        # commits drain state (see _BucketedQueue.peek_time).  Cancelled
-        # heads are purged on the way, which is always safe.
-        nb = self._nbuckets
-        width = self._width
-        buckets = self._buckets
-        if self._nitems:
-            win = self._cur_win
-            for _ in range(nb):
-                b = buckets[win % nb]
-                self._purge_head(b)
-                if b and int(b[0][0] / width) <= win:
-                    return b[0][0]
-                win += 1
-            best = None
-            for b in buckets:
-                self._purge_head(b)
-                if b and (best is None or b[0] < best[0]):
-                    best = b
-            if best is not None:
-                return best[0][0]
-        far = self._far
-        cancelled = self._cancelled
-        while far and far[0] in cancelled:
-            cancelled.discard(far.pop(0))
-        return far[0][0] if far else _INF
-
-    def _resize(self, nbuckets: int) -> None:
-        entries = [e for b in self._buckets for e in b]
-        # Globally ascending redistribution: each bucket then receives
-        # its entries in order, so a plain append keeps it sorted and the
-        # rebuild is O(n) list ops instead of n insorts.  The input is a
-        # concatenation of sorted runs, which timsort merges near-O(n).
-        entries.sort()
-        span = self._max_seen - self._last_time
-        if len(entries) > 1 and span > 0.0:
-            width = 3.0 * span / len(entries)
-            if not (width > 0.0 and _isfinite(width)):
-                width = self._width
-        else:
-            width = self._width
-        self._width = width
-        self._nbuckets = nbuckets
-        buckets = self._buckets = [[] for _ in range(nbuckets)]
-        for e in entries:
-            buckets[int(e[0] / width) % nbuckets].append(e)
-        # Restart the drain position from the earliest pending entry
-        # (entries are sorted, so that is entries[0]); restarting from
-        # the last *popped* time would strand a pending entry pushed
-        # behind it (see the rewind in push).
-        if entries:
-            self._cur_win = int(entries[0][0] / width)
-        else:
-            self._cur_win = int(self._last_time / width)
-
-
-_SPAWN = 64  # bucket size beyond which a rung is spawned / top spilled
-_GATHER = 48  # target entries per multi-bucket promotion to the bottom
-_MAX_RUNGS = 8
-
-
-class _Rung:
-    """One ladder rung: equal-width unsorted buckets over a time span."""
-
-    __slots__ = ("start", "width", "buckets", "cur", "count")
-
-    def __init__(self, start: float, width: float, nbuckets: int):
-        self.start = start
-        self.width = width
-        self.buckets = [[] for _ in range(nbuckets)]
-        self.cur = 0  # buckets below this index are already drained
-        self.count = 0
-
-
-class LadderQueue(_BucketedQueue):
-    """Ladder queue: unsorted *top*, bucketed *rungs*, sorted *bottom*
-    (Tang, Goh & Thng 2005).
-
-    Pushes are O(1) appends into the top (far future) or a rung bucket;
-    sorting happens only when a single bucket is promoted to the bottom,
-    so the amortized cost stays O(1) even for heavily skewed timestamp
-    distributions that defeat a calendar queue's uniform day width —
-    oversized buckets recursively spawn finer rungs instead.
-
-    The bottom is kept in *descending* order so the next entry pops off
-    the list tail in O(1) instead of shifting the whole list each time.
-    Like :class:`HeapQueue`, ``pop`` is an instance attribute swapped to
-    a skipping variant while cancellations are pending.
-
-    Boundary discipline: an entry goes to the top only when strictly
-    *after* ``top_start``; ties land in the rungs/bottom with the entries
-    they must be ordered against, so equal-time pushes with differing
-    priority/sequence are sorted together rather than split across
-    structures (the bit-for-bit pop-order guarantee depends on this).
-    """
-
-    def __init__(self):
-        super().__init__()
-        self._top: list = []
-        self._top_append = self._top.append
-        self._top_start = -_INF
-        self._top_min = _INF
-        self._top_max = -_INF
-        self._rungs: list = []  # shallow (coarse) -> deep (fine)
-        self._bottom: list = []  # descending: next entry at the tail
-        self.pop = self._pop_fast
-
-    # push/pop are flat for the same reason as CalendarQueue's: the
-    # common cases (append into the top; pop the bottom's tail) are a
-    # handful of list ops, and template-method frames around them cost
-    # more than the operations themselves.
-
-    def push(self, entry) -> None:
-        t = entry[0]
-        if self._top_start < t < _INF:
-            # Finite and beyond every drained span: the common case.
-            self._top_append(entry)
-            if t < self._top_min:
-                self._top_min = t
-            if t > self._top_max:
-                self._top_max = t
-            return
-        if not _isfinite(t):
-            insort(self._far, entry)
-            return
-        for r in self._rungs:
-            if t < r.start:
-                # Below this rung's span entirely (int() would truncate
-                # the negative offset toward bucket 0): try a finer rung
-                # or fall through to the sorted bottom.
-                continue
-            # The bucket-index division is the authoritative routing
-            # test (the same arithmetic _spawn uses), so an entry is
-            # never filed on the already-promoted side of a boundary.
-            j = int((t - r.start) / r.width)
-            nb = len(r.buckets)
-            if j >= nb:
-                j = nb - 1
-            if j >= r.cur:
-                r.buckets[j].append(entry)
-                r.count += 1
-                return
-        # Binary insert into the descending bottom.
-        b = self._bottom
-        lo, hi = 0, len(b)
-        while lo < hi:
-            mid = (lo + hi) >> 1
-            if entry < b[mid]:
-                lo = mid + 1
-            else:
-                hi = mid
-        b.insert(lo, entry)
-
-    def _pop_fast(self):
-        bottom = self._bottom
-        if bottom:
-            return bottom.pop()
-        return self._refill_pop()
-
-    def _refill_pop(self):
-        while True:
-            bottom = self._bottom
-            if bottom:
-                return bottom.pop()
-            if self._rungs:
-                r = self._rungs[-1]
-                if not r.count:
-                    # Fully drained; anything pushed into its old span
-                    # from now on is routed to the sorted bottom.
-                    self._rungs.pop()
-                    continue
-                j = r.cur
-                buckets = r.buckets
-                while not buckets[j]:
-                    j += 1
-                bucket = buckets[j]
-                buckets[j] = []
-                if len(bucket) > _SPAWN and len(self._rungs) < _MAX_RUNGS:
-                    r.cur = j + 1
-                    r.count -= len(bucket)
-                    if self._spawn(r.start + j * r.width, r.width, bucket):
-                        continue
-                    bucket.sort(reverse=True)
-                    self._bottom = bucket
-                    continue
-                # Gather a run of consecutive small buckets into one
-                # promotion: all earlier buckets are drained and later
-                # ones hold strictly later windows, so sorting the union
-                # is the exact total order for this stretch.  One C sort
-                # over ~_GATHER entries replaces several rounds of
-                # per-bucket promotion machinery.
-                nb = len(buckets)
-                total = len(bucket)
-                k = j + 1
-                while total < _GATHER and k < nb:
-                    nxt = buckets[k]
-                    if nxt:
-                        if len(nxt) > _SPAWN:
-                            break  # oversize: leave for a spawn round
-                        bucket.extend(nxt)
-                        buckets[k] = []
-                        total += len(nxt)
-                    k += 1
-                r.cur = k
-                r.count -= total
-                bucket.sort(reverse=True)
-                self._bottom = bucket
-                continue
-            if self._top:
-                self._spill_top()
-                continue
-            if self._far:
-                return self._far.pop(0)
-            raise IndexError("pop from empty LadderQueue")
-
-    def _pop_skipping(self):
-        cancelled = self._cancelled
-        entry = self._pop_fast()
-        while cancelled and entry in cancelled:
-            cancelled.discard(entry)
-            entry = self._pop_fast()
-        if not cancelled:
-            self.pop = self._pop_fast
-        return entry
-
-    def cancel(self, entry) -> None:
-        self._cancelled.add(entry)
-        self.pop = self._pop_skipping
-
-    def __len__(self) -> int:
-        # Counted on demand instead of maintained per push/pop: the
-        # structures know their own sizes (each pending entry lives in
-        # exactly one of them, cancelled-in-place included) and len() is
-        # off the hot path, so the flat push/pop skip two counter
-        # updates per event.
-        return (
-            len(self._top)
-            + sum(r.count for r in self._rungs)
-            + len(self._bottom)
-            + len(self._far)
-            - len(self._cancelled)
-        )
-
-    def _spawn(self, start: float, span: float, entries) -> bool:
-        """Subdivide an oversized bucket into a finer rung.
-
-        Bucket count targets ~8 entries per bucket rather than the
-        canonical 1: promotion runs interpreted Python per bucket while
-        the intra-bucket ordering is a C sort, so fatter buckets shift
-        work from the former to the latter.
-        """
-        nb = len(entries) >> 3
-        if nb < 2:
-            return False  # too few to split: sort instead
-        width = span / nb
-        if not (width > 0.0 and _isfinite(width)) or start + width == start:
-            return False  # span too narrow to split further: sort instead
-        rung = _Rung(start, width, nb)
-        buckets = rung.buckets
-        for e in entries:
-            j = int((e[0] - start) / width)
-            buckets[j if j < nb else nb - 1].append(e)
-        rung.count = len(entries)
-        self._rungs.append(rung)
-        return True
-
-    def _spill_top(self) -> None:
-        top = self._top
-        tmin, tmax = self._top_min, self._top_max
-        self._top = []
-        self._top_append = self._top.append
-        self._top_min, self._top_max = _INF, -_INF
-        self._top_start = tmax
-        if len(top) <= _SPAWN or not self._spawn(tmin, tmax - tmin, top):
-            top.sort(reverse=True)
-            self._bottom = top
-
-
-#: CLI registry for ``--scheduler``; "heap" is the engine default.
-SCHEDULERS = {
-    "heap": HeapQueue,
-    "calendar": CalendarQueue,
-    "ladder": LadderQueue,
-}
-
-#: Process-global default consulted by ``Simulator()`` when no explicit
-#: queue is passed.  A *name*, not an instance, so it survives pickling
-#: into ``--jobs`` worker processes, which re-apply it by name.
-_default_scheduler = "heap"
-
-
-def default_scheduler() -> str:
-    """Name of the scheduler ``Simulator()`` currently defaults to."""
-    return _default_scheduler
-
-
-def set_default_scheduler(name: str) -> str:
-    """Set the process-global default scheduler; returns the old name.
-
-    This is how the ``--scheduler`` CLI flag reaches every ``Simulator``
-    an experiment creates internally, without threading a parameter
-    through every construction site (and through the ``--jobs`` worker
-    fan-out, which forwards the name to each worker process).
-    """
-    global _default_scheduler
-    if name not in SCHEDULERS:
-        raise ValueError(
-            f"unknown scheduler {name!r}; choose from {sorted(SCHEDULERS)}"
-        )
-    previous = _default_scheduler
-    _default_scheduler = name
-    return previous
-
-
-class using_scheduler:
-    """Context manager scoping :func:`set_default_scheduler`."""
-
-    def __init__(self, name: str):
-        self._name = name
-        self._previous: str | None = None
-
-    def __enter__(self):
-        self._previous = set_default_scheduler(self._name)
-        return self
-
-    def __exit__(self, *exc):
-        set_default_scheduler(self._previous)
-        return False
-
-
-def make_queue(name: str | None = None):
-    """Instantiate a scheduler by registry name (``--scheduler`` values).
-
-    With no name, builds the process-global default (see
-    :func:`set_default_scheduler`).
-    """
-    try:
-        return SCHEDULERS[name if name is not None else _default_scheduler]()
-    except KeyError:
-        raise ValueError(
-            f"unknown scheduler {name!r}; choose from {sorted(SCHEDULERS)}"
-        ) from None

@@ -1,15 +1,13 @@
-"""Property tests: scheduler interchangeability and PDES equivalence.
+"""Property tests: the pending-event set's contract and PDES equivalence.
 
-The engine's correctness contract for a pluggable event queue is exact:
-entries are ``(time, priority, seq, event)`` with a globally unique
-``seq``, so any correct priority queue yields one and only one pop
-order.  The differential property below drives HeapQueue (the reference
-bit-for-bit twin of the pre-refactor inlined heap), CalendarQueue, and
-LadderQueue through the same randomized push/pop/cancel/peek scripts —
-including exact time ties — and demands identical behaviour at every
-step.  The end-to-end properties then check the same thing at the
-experiment level: same seed, same table cell, under every scheduler and
-under serial vs partitioned execution.
+The engine's correctness contract for its event queue is exact: entries
+are ``(time, priority, seq, event)`` with a globally unique ``seq``, so
+there is one and only one correct pop order.  The differential property
+below drives HeapQueue and a sorted-list model through the same
+randomized push/pop/cancel/peek scripts — including exact time ties and
+``inf`` sentinels — and demands identical behaviour at every step.  The
+end-to-end properties then check serial vs partitioned execution at the
+experiment level: same seed, same table cell.
 """
 
 import math
@@ -20,7 +18,7 @@ from hypothesis import given, settings
 
 from repro.core import CacheMode
 from repro.experiments.common import run_cluster_trace
-from repro.sim import SCHEDULERS, using_partitions, using_scheduler
+from repro.sim import HeapQueue, using_partitions
 from repro.workload import zipf_cgi_trace
 
 # Draw delays from a tiny pool so exact time ties are common, plus inf
@@ -35,8 +33,7 @@ _OPS = st.lists(
         st.tuples(st.just("peek"), st.just(None), st.just(None)),
         # run_window's overshoot handling: pop an entry, push it straight
         # back, and do NOT advance now — later pushes then legally land
-        # *behind* the popped time, which a bucketed queue's drain cursor
-        # must tolerate (regression: the calendar used to strand them).
+        # *behind* the popped time.
         st.tuples(st.just("pushback"), st.just(None), st.just(None)),
     ),
     min_size=1,
@@ -47,51 +44,42 @@ _OPS = st.lists(
 class TestPopOrderEquivalence:
     @given(ops=_OPS)
     @settings(max_examples=200, deadline=None)
-    def test_all_schedulers_agree_step_for_step(self, ops):
-        queues = {name: cls() for name, cls in SCHEDULERS.items()}
+    def test_heap_matches_sorted_model_step_for_step(self, ops):
+        q = HeapQueue()
         now = 0.0  # simulator invariant: pushes never go behind now
         seq = 0
-        live = []  # entries present in all queues, insertion order
+        live = []  # the model: every pushed, not yet popped/cancelled entry
         for op, a, b in ops:
             if op == "push":
                 entry = (now + a, b, seq, None)
                 seq += 1
                 live.append(entry)
-                for q in queues.values():
-                    q.push(entry)
+                q.push(entry)
             elif op == "pop":
                 if not live:
                     continue
-                popped = {name: q.pop() for name, q in queues.items()}
-                assert len(set(popped.values())) == 1, popped
-                entry = popped["heap"]
+                entry = q.pop()
+                assert entry == min(live)
                 now = entry[0]
                 live.remove(entry)
             elif op == "pushback":
                 if not live:
                     continue
-                popped = {name: q.pop() for name, q in queues.items()}
-                assert len(set(popped.values())) == 1, popped
-                for q in queues.values():
-                    q.push(popped["heap"])
+                entry = q.pop()
+                assert entry == min(live)
+                q.push(entry)
             elif op == "cancel":
                 if not live:
                     continue
-                entry = live.pop(a % len(live))
-                for q in queues.values():
-                    q.cancel(entry)
+                q.cancel(live.pop(a % len(live)))
             else:  # peek
-                times = {name: q.peek_time() for name, q in queues.items()}
-                assert len(set(times.values())) == 1, times
-            lengths = {name: len(q) for name, q in queues.items()}
-            assert len(set(lengths.values())) == 1, lengths
-        # Drain: the full residual order must agree too.
-        expected = sorted(live)
-        for name, q in queues.items():
-            drained = []
-            while len(q):
-                drained.append(q.pop())
-            assert drained == expected, name
+                assert q.peek_time() == (min(live)[0] if live else math.inf)
+            assert len(q) == len(live)
+        # Drain: the full residual order must match the model too.
+        drained = []
+        while len(q):
+            drained.append(q.pop())
+        assert drained == sorted(live)
 
 
 def _fingerprint(times, cluster):
@@ -103,24 +91,7 @@ def _fingerprint(times, cluster):
     )
 
 
-def _tiny_run(seed, mode=CacheMode.COOPERATIVE):
-    trace = zipf_cgi_trace(80, 20, zipf=0.9, cpu_time_mean=0.2, seed=seed)
-    return _fingerprint(
-        *run_cluster_trace(2, mode, trace, n_threads=4, n_hosts=2)
-    )
-
-
 class TestEndToEndEquivalence:
-    @given(seed=st.integers(0, 2 ** 16))
-    @settings(max_examples=5, deadline=None)
-    def test_same_seed_same_tables_under_every_scheduler(self, seed):
-        results = {}
-        for name in sorted(SCHEDULERS):
-            with using_scheduler(name):
-                results[name] = _tiny_run(seed)
-        assert results["calendar"] == results["heap"]
-        assert results["ladder"] == results["heap"]
-
     @given(seed=st.integers(0, 2 ** 16), n_shards=st.sampled_from([2, 3]))
     @settings(max_examples=4, deadline=None)
     def test_same_seed_serial_equals_partitioned(self, seed, n_shards):
@@ -137,18 +108,6 @@ class TestEndToEndEquivalence:
         assert partitioned == serial
 
 
-def test_table3_cell_identical_under_every_scheduler():
-    from repro.experiments.table3 import _run_one
-
-    cells = {}
-    for name in sorted(SCHEDULERS):
-        with using_scheduler(name):
-            cells[name] = _run_one(4, CacheMode.COOPERATIVE, 20, 2.5, None)
-    assert cells["calendar"] == cells["heap"]
-    assert cells["ladder"] == cells["heap"]
-    assert cells["heap"] == pytest.approx(2.5, rel=0.5)
-
-
 def test_table3_cell_identical_serial_vs_partitioned():
     from repro.experiments.table3 import _run_one
 
@@ -157,5 +116,6 @@ def test_table3_cell_identical_serial_vs_partitioned():
         two = _run_one(4, CacheMode.COOPERATIVE, 20, 2.5, None)
     with using_partitions(4, "inline"):
         four = _run_one(4, CacheMode.COOPERATIVE, 20, 2.5, None)
+    assert serial == pytest.approx(2.5, rel=0.5)
     assert two == serial
     assert four == serial

@@ -23,7 +23,7 @@ sits within 5% of the requested rank" survives arbitrary scales.
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.obs.streaming import (
@@ -224,6 +224,10 @@ class TestWindowMerge:
         c=st.lists(finite, min_size=1, max_size=120),
     )
     @settings(max_examples=40, deadline=None)
+    # Interpolating between centroids -1.0 and -1.18e-38 once rounded
+    # past the upper one and reported the sample maximum as the p50.
+    @example(a=[0.0], b=[-1.0, -1.4507212803753603e-56],
+             c=[-1.0, -1.0, -1.1754943508222875e-38, -9.707004201875173e-143])
     def test_associative(self, a, b, c):
         nb, nc = len(a), len(a) + len(b)
         left = self._window(a, 0).merge(self._window(b, 1, nb)).merge(

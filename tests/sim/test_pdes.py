@@ -9,7 +9,7 @@ from repro.experiments.common import run_cluster_trace
 from repro.experiments.partition import run_partitioned_fleet
 from repro.net import Network, UnknownPort
 from repro.sim import (
-    SCHEDULERS,
+    HeapQueue,
     Simulator,
     set_sim_partitions,
     sim_partitions,
@@ -28,9 +28,8 @@ from repro.workload import zipf_cgi_trace
 
 # -- run_window ------------------------------------------------------------
 
-@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
-def test_run_window_processes_strictly_before_horizon(scheduler):
-    sim = Simulator(queue=SCHEDULERS[scheduler]())
+def test_run_window_processes_strictly_before_horizon():
+    sim = Simulator()
     fired = []
     for t in (0.5, 1.0, 1.5, 2.0, 2.5):
         sim.timeout(t, value=t).callbacks.append(
@@ -44,9 +43,8 @@ def test_run_window_processes_strictly_before_horizon(scheduler):
     assert fired == [0.5, 1.0, 1.5, 2.0, 2.5]
 
 
-@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
-def test_run_window_empty_queue_returns(scheduler):
-    sim = Simulator(queue=SCHEDULERS[scheduler]())
+def test_run_window_empty_queue_returns():
+    sim = Simulator()
     assert sim.run_window(10.0) == 0
     assert sim.peek() == math.inf
 
@@ -63,13 +61,11 @@ def test_run_window_keeps_working_after_new_arrivals():
     assert fired == [1.0, 2.5]
 
 
-@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
-def test_queue_tolerates_push_behind_drain_position(scheduler):
+def test_queue_tolerates_push_behind_drain_position():
     # The PDES window runtime pops an overshooting entry, pushes it back,
-    # and next round injects messages at earlier instants.  The calendar
-    # queue's drain cursor used to strand those, making peek_time lie
-    # and shards hear from the past.
-    q = SCHEDULERS[scheduler]()
+    # and next round injects messages at earlier instants; peek_time must
+    # see them, or shards would hear from the past.
+    q = HeapQueue()
     late = (60.0, 1, 0, None)
     q.push(late)
     assert q.pop() == late
